@@ -24,6 +24,13 @@ run_tier1() {
   cmake -B "$REPO_ROOT/build" -S "$REPO_ROOT" >/dev/null
   cmake --build "$REPO_ROOT/build" -j "$JOBS"
   (cd "$REPO_ROOT/build" && ctest --output-on-failure -j "$JOBS")
+  # The First-Committer-Wins suites again, repeated side by side: the lost
+  # update they guard against (a commit between timestamp draw and
+  # publication, invisible to a reader whose BOT is past it) needs real
+  # parallel load to show, and one pass under load can miss it.
+  (cd "$REPO_ROOT/build" &&
+   ctest --output-on-failure -j "$JOBS" --repeat until-fail:20 \
+       -R '^(core_protocols_test|core_si_protocol_test|txn_batch_validate_test)$')
 }
 
 run_torture() {
@@ -68,6 +75,7 @@ run_tsan() {
     core_degradation_test
     core_index_consistency_test
     core_isolation_test
+    core_protocols_test
     core_si_protocol_test
     property_crash_torture_property_test
     property_replication_failover_property_test

@@ -234,9 +234,10 @@ Status TransactionManager::DeriveIndexMutations(Transaction& txn) {
         if (!derive.ok()) return;
         // Pre-image: the newest committed live version of the base row.
         // This read is race-free under First-Committer-Wins: any commit
-        // that modifies this key between our BOT and our validation makes
-        // validation abort us, so a pre-image that passed validation was
-        // the version our commit supersedes.
+        // that modifies this key after our FCW bound (min of BOT and our
+        // read snapshot, see si_protocol.h) and before our validation
+        // makes validation abort us, so a pre-image that passed validation
+        // was the version our commit supersedes.
         pre_image.clear();
         const bool had_old = base_store->ReadLatest(key, &pre_image).ok();
         old_composite.clear();

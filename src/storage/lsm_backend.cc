@@ -317,13 +317,18 @@ void LsmBackend::BackgroundWorker() {
         bg_failed_.store(true, std::memory_order_release);
         newly_poisoned = true;
       }
+    }
+    if (newly_poisoned && options_.on_background_failure) {
+      // Outside every lock: the database's hook takes its own health mutex.
+      // It runs BEFORE the job counts as done, so a Flush() that returns
+      // the failure never races ahead of the degradation it triggers.
+      options_.on_background_failure(status);
+    }
+    {
+      std::lock_guard<std::mutex> work_guard(work_mutex_);
       ++jobs_done_;
     }
     done_cv_.notify_all();
-    if (newly_poisoned && options_.on_background_failure) {
-      // Outside every lock: the database's hook takes its own health mutex.
-      options_.on_background_failure(status);
-    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include "txn/si_protocol.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -17,6 +18,18 @@ Timestamp SiProtocol::SnapshotFor(Transaction& txn, VersionedStore& store) {
       context_->PinReadCtsForState(txn.slot(), store.id());
   txn.CacheSnapshot(store.id(), snapshot);
   return snapshot;
+}
+
+Timestamp SiProtocol::FcwBound(Transaction& txn, VersionedStore& store) {
+  // A transaction that pinned its cut reads below BOT whenever an older
+  // commit was in flight at pin time; FCW must reject that commit too. The
+  // cut is taken at the first read only (§4.2): a transaction that never
+  // read has seen no snapshot to protect, so it keeps BOT.
+  if (!txn.CachedSnapshot(store.id()).has_value() &&
+      !context_->HasReadPins(txn.slot())) {
+    return txn.id();
+  }
+  return std::min(txn.id(), SnapshotFor(txn, store));
 }
 
 Status SiProtocol::Read(Transaction& txn, VersionedStore& store,
@@ -81,6 +94,7 @@ Status SiProtocol::Validate(Transaction& txn, VersionedStore& store) {
 
 Status SiProtocol::ValidatePerKey(Transaction& txn, VersionedStore& store,
                                   const WriteSet& ws) {
+  const Timestamp bound = FcwBound(txn, store);
   for (const auto& entry : ws.entries()) {
     // Commit-time write lock ("In the case of multiple writers, additional
     // write locks are introduced"). The recorded key is a view into the
@@ -93,8 +107,8 @@ Status SiProtocol::ValidatePerKey(Transaction& txn, VersionedStore& store,
     entry.commit_hint = handle;
     txn.RecordCommitLock(store.id(), entry.key, handle);
     // First-Committer-Wins: someone committed a modification (install or
-    // delete) of this key after our BOT.
-    if (store.LatestModification(handle) > txn.id()) {
+    // delete) of this key that our snapshot does not contain.
+    if (store.LatestModification(handle) > bound) {
       return Status::Conflict("first-committer-wins: key '" +
                               std::string(entry.key) +
                               "' has a newer committed modification");
@@ -121,7 +135,7 @@ Status SiProtocol::ValidateBatched(Transaction& txn, VersionedStore& store,
   std::size_t locked = 0;
   const Status status =
       store.LockForCommitBatch(requests.begin(), requests.size(), txn.id(),
-                               &locked);
+                               FcwBound(txn, store), &locked);
   // Stash the resolved handles for the apply phase and record every
   // claimed lock for release — both only over the locked prefix.
   for (std::size_t i = 0; i < locked; ++i) {

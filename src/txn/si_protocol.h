@@ -5,10 +5,15 @@
 //    later reads reuse it — every operation reads from the same snapshot).
 //  * Write: append to the dirty array; writes never block.
 //  * Commit: per key, claim commit ownership (the "additional write locks"
-//    for multiple writers), check First-Committer-Wins (a newer committed
-//    version than the transaction's BOT timestamp forces an abort), apply
-//    in memory, persist through to the base table, and finally advance the
-//    group's commit timestamp.
+//    for multiple writers), check First-Committer-Wins, apply in memory,
+//    persist through to the base table, and finally advance the group's
+//    commit timestamp. FCW aborts on any committed modification newer than
+//    min(BOT, the state's snapshot) once the transaction has pinned a
+//    snapshot, and newer than BOT otherwise. The snapshot can lie below
+//    BOT: the §4.3 cut is clamped below every commit still between
+//    timestamp draw and publication, and such a commit is invisible to
+//    the reader, so checking BOT alone would let a read-modify-write
+//    overwrite it (a lost update).
 //  * Abort: drop the write set; committed data was never touched, so no
 //    undo is needed.
 
@@ -54,6 +59,10 @@ class SiProtocol final : public ConcurrencyProtocol {
  private:
   /// The transaction's snapshot for this store (pin-on-first-read, §4.2).
   Timestamp SnapshotFor(Transaction& txn, VersionedStore& store);
+  /// First-Committer-Wins bound: min(BOT, SnapshotFor) when the transaction
+  /// has pinned a snapshot, BOT for one that never read (blind writers,
+  /// read-committed). Never takes a first pin.
+  Timestamp FcwBound(Transaction& txn, VersionedStore& store);
 
   Status ValidateBatched(Transaction& txn, VersionedStore& store,
                          const WriteSet& ws);

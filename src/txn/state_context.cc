@@ -161,6 +161,16 @@ void StateContext::SnapshotLastCts(
   }
 }
 
+void StateContext::CheckpointCut(
+    std::vector<std::pair<GroupId, Timestamp>>* out) const {
+  SnapshotLastCts(out);
+  // Scanned AFTER the LastCTS reads (see SweepAndPin): a commit in flight
+  // below a published LastCTS registered before that publication, so the
+  // scan sees it unless it has already retired.
+  const Timestamp safe = SafePublicationTs();
+  for (auto& entry : *out) entry.second = std::min(entry.second, safe);
+}
+
 void StateContext::DrainInflightCommits() const {
   // Snapshot the in-flight set, then wait each entry out. A slot whose
   // value changed retired our commit (values are unique, drawn from the
@@ -445,6 +455,12 @@ std::optional<Timestamp> StateContext::GetReadCts(int slot,
     if (gid == group) return ts;
   }
   return std::nullopt;
+}
+
+bool StateContext::HasReadPins(int slot) const {
+  const TxnSlot& s = slots_[static_cast<std::size_t>(slot)];
+  std::lock_guard<SpinLock> guard(s.lock);
+  return !s.read_cts.empty();
 }
 
 Timestamp StateContext::PinReadCtsForState(int slot, StateId state) {

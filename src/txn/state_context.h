@@ -125,13 +125,18 @@ class StateContext {
   /// Recovery: forces LastCTS (no monotonicity check).
   void SetLastCts(GroupId group, Timestamp cts);
 
-  /// One publication-seqlock-consistent cut of EVERY group's LastCTS (the
-  /// checkpoint cut): like SweepAndPin's cut, it can never straddle a
-  /// mid-flight multi-group publication. Unlike reader pins it is NOT
-  /// clamped to SafePublicationTs() — the caller (Database::Checkpoint)
-  /// first drains in-flight commits so every acked commit's publication is
-  /// inside the cut.
+  /// One publication-seqlock-consistent cut of EVERY group's LastCTS: like
+  /// SweepAndPin's cut, it can never straddle a mid-flight multi-group
+  /// publication. Not clamped to SafePublicationTs().
   void SnapshotLastCts(std::vector<std::pair<GroupId, Timestamp>>* out) const;
+  /// The checkpoint cut: SnapshotLastCts clamped below every commit still
+  /// in flight, like a reader pin. Recovery keeps every version a cut
+  /// covers, so it must not cover a commit that may yet fail at its
+  /// durability point after a later commit published past it. The caller
+  /// (Database::Checkpoint) first drains the commits in flight before its
+  /// log rotation, so every commit recorded in the old segments is inside
+  /// the cut, and every commit the clamp excludes records after it.
+  void CheckpointCut(std::vector<std::pair<GroupId, Timestamp>>* out) const;
 
   /// Blocks until every commit in flight at CALL TIME has retired its
   /// commit timestamp (published, or purged after a failed commit). Commits
@@ -213,6 +218,9 @@ class StateContext {
   Timestamp PinReadCts(int slot, GroupId group);
   /// The pinned ReadCTS, or nullopt if the group was never read.
   std::optional<Timestamp> GetReadCts(int slot, GroupId group) const;
+  /// True iff the transaction in `slot` has pinned its snapshot cut (its
+  /// first grouped read pins every group at once).
+  bool HasReadPins(int slot) const;
   /// Overlap rule (§4.3): effective snapshot for a state = the minimum pin
   /// across all (pinned) groups containing it; unpinned groups get pinned
   /// on first touch.

@@ -387,6 +387,7 @@ Status VersionedStore::LockForCommit(std::string_view key, TxnId txn,
 
 Status VersionedStore::LockForCommitBatch(CommitLockRequest* requests,
                                           std::size_t count, TxnId txn,
+                                          Timestamp snapshot,
                                           std::size_t* locked_count) {
   *locked_count = 0;
   if (count == 0) return Status::OK();
@@ -458,7 +459,8 @@ Status VersionedStore::LockForCommitBatch(CommitLockRequest* requests,
       return Status::Conflict("key is being committed by txn " +
                               std::to_string(expected));
     }
-    if (entry->latest_modification.load(std::memory_order_acquire) > txn) {
+    if (entry->latest_modification.load(std::memory_order_acquire) >
+        snapshot) {
       // The FCW-failed key IS locked (and must be released), exactly like
       // the per-key path, which records the lock before the check.
       *locked_count = i + 1;

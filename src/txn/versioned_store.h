@@ -177,6 +177,11 @@ class VersionedStore {
   /// DISTINCT SHARD (misses sorted by shard, probed in runs) instead of a
   /// pin + probe + possible latch round-trip per key.
   ///
+  /// First-Committer-Wins fails a key whose latest committed modification
+  /// is newer than `snapshot`, the caller's FCW bound (SI passes
+  /// min(BOT, read snapshot), see si_protocol.h); `txn` only names the
+  /// lock owner.
+  ///
   /// Locks are claimed in request (write-set) order, so the observable
   /// lock/conflict sequence is identical to calling LockForCommit per key:
   /// on a Conflict from the lock CAS, requests [0, *locked_count) hold
@@ -186,7 +191,8 @@ class VersionedStore {
   /// after a conflict point carry no versions and are semantically
   /// invisible.
   Status LockForCommitBatch(CommitLockRequest* requests, std::size_t count,
-                            TxnId txn, std::size_t* locked_count);
+                            TxnId txn, Timestamp snapshot,
+                            std::size_t* locked_count);
 
   /// Handle-based First-Committer-Wins comparison point (no probe, no
   /// epoch pin — the handle already is the entry).

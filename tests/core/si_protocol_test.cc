@@ -2,7 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/env.h"
 #include "core/streamsi.h"
+#include "tests/test_util.h"
+#include "txn/si_protocol.h"
 
 namespace streamsi {
 namespace {
@@ -313,6 +325,187 @@ TEST_F(SiProtocolTest, ReadersNeverBlockDuringWriterCommit) {
   for (auto& reader : readers) reader.join();
   EXPECT_FALSE(violation.load());
 }
+
+// ----------------------------------------------------------------------
+// First-Committer-Wins against the read snapshot, not BOT.
+
+/// POSIX env whose group-commit log Sync can be parked: a committer that
+/// reaches its durability point blocks there, between drawing its commit
+/// timestamp (and installing its versions) and publishing them.
+class ParkingEnv final : public Env {
+ public:
+  /// The next group-commit log Sync parks until Release().
+  void Arm() {
+    std::lock_guard<std::mutex> guard(mu_);
+    armed_ = true;
+  }
+  /// False if nothing parked within a generous bound (the commit never
+  /// reached its durability point).
+  bool WaitUntilParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> guard(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(const std::string& path,
+                                                        bool truncate) override {
+    auto file = base_->NewWritableFile(path, truncate);
+    if (!file.ok()) return file.status();
+    std::unique_ptr<WritableFile> wrapped = std::make_unique<File>(
+        this, std::move(file).value(),
+        path.find("group_commits.log") != std::string::npos);
+    return wrapped;
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    return base_->NewRandomAccessFile(path);
+  }
+  Status CreateDirIfMissing(const std::string& path) override {
+    return base_->CreateDirIfMissing(path);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Status RemoveDirRecursive(const std::string& path) override {
+    return base_->RemoveDirRecursive(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Status FileSize(const std::string& path, std::uint64_t* size) override {
+    return base_->FileSize(path, size);
+  }
+  Status ListDir(const std::string& path,
+                 std::vector<std::string>* names) override {
+    return base_->ListDir(path, names);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return base_->SyncDir(dir);
+  }
+
+ private:
+  class File final : public WritableFile {
+   public:
+    File(ParkingEnv* env, std::unique_ptr<WritableFile> base, bool group_log)
+        : env_(env), base_(std::move(base)), group_log_(group_log) {}
+    Status Append(std::string_view data) override {
+      return base_->Append(data);
+    }
+    Status Flush() override { return base_->Flush(); }
+    Status Sync() override {
+      if (group_log_) env_->MaybePark();
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+    std::uint64_t size() const override { return base_->size(); }
+
+   private:
+    ParkingEnv* env_;
+    std::unique_ptr<WritableFile> base_;
+    bool group_log_;
+  };
+
+  void MaybePark() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!armed_) return;
+    armed_ = false;
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+
+  Env* base_ = Env::Default();
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+class SnapshotBelowBotTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(SnapshotBelowBotTest, RmwOverUnpublishedOlderCommitConflicts) {
+  // Committer U draws its commit timestamp and installs its versions, then
+  // parks at the durable group-commit record — before publication. T
+  // begins after U's timestamp draw, so U's cts < T's BOT, but T's snapshot
+  // is clamped below the in-flight commit and reads the old value. Once U
+  // publishes, T's read-modify-write would overwrite U's increment: FCW
+  // must compare against T's snapshot and abort T (no P4 lost update).
+  ::streamsi::testing::TempDir dir;
+  ParkingEnv env;
+  DatabaseOptions options;
+  options.protocol = ProtocolType::kMvcc;
+  options.backend = BackendType::kLsm;
+  options.backend_options.sync_mode = SyncMode::kFsync;
+  options.backend_options.env = &env;
+  options.env = &env;
+  options.base_dir = dir.path();
+  auto opened = Database::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Database> db = std::move(opened).value();
+  auto* si = dynamic_cast<SiProtocol*>(&db->protocol());
+  ASSERT_NE(si, nullptr);
+  si->set_batched_validation(GetParam());
+  auto state = db->CreateState("s");
+  ASSERT_TRUE(state.ok());
+  const StateId sid = (*state)->id();
+  ASSERT_TRUE(db->Recover().ok());
+  TransactionManager& tm = db->txn_manager();
+
+  {
+    auto t = db->Begin();
+    ASSERT_TRUE(tm.Write((*t)->txn(), sid, "counter", "0").ok());
+    ASSERT_TRUE((*t)->Commit().ok());
+  }
+
+  auto u = db->Begin();
+  ASSERT_TRUE(u.ok());
+  std::string u_read;
+  ASSERT_TRUE(tm.Read((*u)->txn(), sid, "counter", &u_read).ok());
+  ASSERT_EQ(u_read, "0");
+  ASSERT_TRUE(tm.Write((*u)->txn(), sid, "counter", "1").ok());
+  env.Arm();
+  Status u_commit;
+  std::thread committer([&] { u_commit = (*u)->Commit(); });
+  const bool parked = env.WaitUntilParked();
+
+  // No ASSERT until U is released: returning early would leave it parked.
+  auto t = db->Begin();
+  std::string t_read;
+  const Status read =
+      t.ok() ? tm.Read((*t)->txn(), sid, "counter", &t_read) : t.status();
+
+  env.Release();
+  committer.join();
+  ASSERT_TRUE(parked) << "U never reached its group-commit record";
+  ASSERT_TRUE(u_commit.ok()) << u_commit.ToString();
+  ASSERT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(t_read, "0") << "U was unpublished when T pinned its snapshot";
+
+  ASSERT_TRUE(tm.Write((*t)->txn(), sid, "counter", "1").ok());
+  const Status t_commit = (*t)->Commit();
+  EXPECT_TRUE(t_commit.IsConflict()) << t_commit.ToString();
+
+  auto check = db->Begin();
+  std::string final_value;
+  ASSERT_TRUE(tm.Read((*check)->txn(), sid, "counter", &final_value).ok());
+  EXPECT_EQ(final_value, "1");
+  ASSERT_TRUE((*check)->Commit().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(ValidationPaths, SnapshotBelowBotTest,
+                         ::testing::Bool(),
+                         [](const auto& info) {
+                           return info.param ? "Batched" : "PerKey";
+                         });
 
 }  // namespace
 }  // namespace streamsi

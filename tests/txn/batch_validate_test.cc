@@ -52,7 +52,8 @@ TEST(LockForCommitBatchTest, LocksEveryKeyAndResolvesHandles) {
 
   std::size_t locked = 0;
   ASSERT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 10, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 10, 10,
+                                   &locked)
           .ok());
   EXPECT_EQ(locked, 3u);
   EXPECT_EQ(store->stats().batch_validates.load(), 1u);
@@ -66,7 +67,8 @@ TEST(LockForCommitBatchTest, LocksEveryKeyAndResolvesHandles) {
   // Re-entrant: the same transaction may batch-lock the same keys again.
   std::size_t relocked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 10, &relocked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 10, 10,
+                                   &relocked)
           .ok());
   EXPECT_EQ(relocked, 3u);
   for (const auto& r : requests) store->UnlockCommit(r.handle, 10);
@@ -86,7 +88,7 @@ TEST(LockForCommitBatchTest, LockConflictLeavesFailingKeyUnlocked) {
   for (const auto& k : keys) requests.push_back(MakeRequest(k));
   std::size_t locked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 2, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 2, 2, &locked)
           .IsConflict());
   EXPECT_EQ(locked, 1u) << "only the pre-conflict prefix holds locks";
 
@@ -113,7 +115,8 @@ TEST(LockForCommitBatchTest, FcwConflictCountsFailingKeyAsLocked) {
   for (const auto& k : keys) requests.push_back(MakeRequest(k));
   std::size_t locked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 50, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 50, 50,
+                                   &locked)
           .IsConflict());
   EXPECT_EQ(locked, 2u) << "the FCW-failed key is locked and counted";
 
@@ -123,6 +126,33 @@ TEST(LockForCommitBatchTest, FcwConflictCountsFailingKeyAsLocked) {
   store->UnlockCommit(requests[1].handle, 50);
   EXPECT_TRUE(store->LockForCommit("k", 60).ok());
   store->UnlockCommit("k", 60);
+}
+
+TEST(LockForCommitBatchTest, FcwComparesAgainstSnapshotNotBot) {
+  auto store = MakeStore();
+  // "k" was modified at ts 100. Txn 150 began after that commit drew its
+  // timestamp but read at snapshot 80 (the commit was still unpublished
+  // when the cut was pinned), so the modification is invisible to it and
+  // first-committer-wins must fire although 100 < 150.
+  ASSERT_TRUE(store->ApplyCommitted("k", "new", false, 100, 0, false).ok());
+  std::vector<Request> requests{MakeRequest("k")};
+
+  std::size_t locked = 0;
+  EXPECT_TRUE(store
+                  ->LockForCommitBatch(requests.data(), requests.size(), 150,
+                                       /*snapshot=*/80, &locked)
+                  .IsConflict());
+  EXPECT_EQ(locked, 1u) << "the FCW-failed key is locked and counted";
+  EXPECT_TRUE(store->LockForCommit("k", 160).IsConflict())
+      << "the lock belongs to txn 150, not to the snapshot";
+  store->UnlockCommit(requests[0].handle, 150);
+
+  // A snapshot that contains the modification passes.
+  EXPECT_TRUE(store
+                  ->LockForCommitBatch(requests.data(), requests.size(), 150,
+                                       /*snapshot=*/120, &locked)
+                  .ok());
+  store->UnlockCommit(requests[0].handle, 150);
 }
 
 TEST(LockForCommitBatchTest, EntriesCreatedPastConflictAreInvisible) {
@@ -137,7 +167,8 @@ TEST(LockForCommitBatchTest, EntriesCreatedPastConflictAreInvisible) {
   for (const auto& k : keys) requests.push_back(MakeRequest(k));
   std::size_t locked = 0;
   EXPECT_TRUE(
-      store->LockForCommitBatch(requests.data(), requests.size(), 50, &locked)
+      store->LockForCommitBatch(requests.data(), requests.size(), 50, 50,
+                                   &locked)
           .IsConflict());
   EXPECT_EQ(locked, 1u);
   store->UnlockCommit(requests[0].handle, 50);

@@ -167,6 +167,53 @@ TEST(StateContextTest, ReadCtsPinnedOnFirstRead) {
   ctx.EndTransaction(*slot);
 }
 
+TEST(StateContextTest, HasReadPinsOnlyAfterFirstPin) {
+  StateContext ctx;
+  const GroupId g = ctx.RegisterGroup({ctx.RegisterState("a")});
+  TxnId id;
+  auto slot = ctx.BeginTransaction(&id);
+  ASSERT_TRUE(slot.ok());
+  EXPECT_FALSE(ctx.HasReadPins(*slot));
+  ctx.PinReadCts(*slot, g);
+  EXPECT_TRUE(ctx.HasReadPins(*slot));
+  ctx.EndTransaction(*slot);
+}
+
+TEST(StateContextTest, CheckpointCutExcludesInflightCommits) {
+  // Commit X draws its timestamp and stays in flight; a later commit Y
+  // publishes past it. The raw LastCTS cut covers X's timestamp, but X may
+  // still fail at its durability point, so the checkpoint cut must stop
+  // below it — and rise to the published LastCTS once X retires.
+  StateContext ctx;
+  const GroupId g = ctx.RegisterGroup({ctx.RegisterState("a")});
+  TxnId x_id;
+  TxnId y_id;
+  auto x = ctx.BeginTransaction(&x_id);
+  auto y = ctx.BeginTransaction(&y_id);
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(y.ok());
+  const Timestamp x_cts = ctx.AssignCommitTimestamp(*x);
+  const Timestamp y_cts = ctx.AssignCommitTimestamp(*y);
+  ASSERT_LT(x_cts, y_cts);
+  ctx.PublishCommit({g}, y_cts);
+  ctx.RetireCommitTimestamp(*y);
+
+  std::vector<std::pair<GroupId, Timestamp>> raw;
+  ctx.SnapshotLastCts(&raw);
+  std::vector<std::pair<GroupId, Timestamp>> cut;
+  ctx.CheckpointCut(&cut);
+  ASSERT_EQ(raw.size(), 1u);
+  ASSERT_EQ(cut.size(), 1u);
+  EXPECT_EQ(raw[0].second, y_cts);
+  EXPECT_LT(cut[0].second, x_cts) << "the cut must not cover in-flight X";
+
+  ctx.RetireCommitTimestamp(*x);  // X failed and purged its versions
+  ctx.CheckpointCut(&cut);
+  EXPECT_EQ(cut[0].second, y_cts);
+  ctx.EndTransaction(*x);
+  ctx.EndTransaction(*y);
+}
+
 TEST(StateContextTest, OverlapRuleUsesOlderPin) {
   // §4.3: reading states from two topologies with different LastCTS must
   // use the older version.
